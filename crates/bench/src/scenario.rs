@@ -617,28 +617,44 @@ fn serve_net_scenario(ctx: &ScenarioCtx) -> ScenarioOutcome {
 /// path to the committed wall baseline. The body asserts the churn
 /// actually happened: evictions occurred, nothing failed.
 fn cache_churn_scenario(ctx: &ScenarioCtx) -> ScenarioOutcome {
-    // Distinct (wf, af) pairs key distinct LUT images; the budget below
-    // holds roughly one of them, so cycling the list keeps the ledger
-    // under continuous eviction pressure.
+    // Distinct (wf, af) pairs key distinct canonical images; the budget
+    // below holds the largest pair's images and no more, so cycling the
+    // list keeps the ledger under continuous eviction pressure.
     let pairs = [
         (NumericFormat::Bipolar, NumericFormat::Int(3)),
         (NumericFormat::Bipolar, NumericFormat::Int(2)),
         (NumericFormat::Int(2), NumericFormat::Int(2)),
     ];
+    let request = |index: usize, round: u64| {
+        let (wf, af) = pairs[index];
+        let w = QMatrix::pseudo_random(48, 40, wf, 31 + index as u64);
+        let a = QMatrix::pseudo_random(40, 12, af, 32 + round);
+        GemmRequest::new(w, a)
+    };
+    // Derived from the images' resident size, not a literal: the budget
+    // then tracks any change to how the images are stored.
+    let budget = (0..pairs.len())
+        .map(|index| {
+            let probe = Engine::builder().threads(1).banks(2).build();
+            probe
+                .submit(&request(index, 0))
+                .expect("churn shapes are feasible");
+            probe.lut_cache_stats().resident_bytes
+        })
+        .max()
+        .expect("three pairs");
     let engine = Engine::builder()
         .threads(ctx.threads)
         .banks(2)
-        .cache_budget(192 * 1024)
+        .cache_budget(budget)
         .build();
     let mut stats = Stats::default();
     let mut energy_pj: u128 = 0;
     let mut checksums = Vec::new();
     for round in 0..2u64 {
-        for (index, (wf, af)) in pairs.iter().enumerate() {
-            let w = QMatrix::pseudo_random(48, 40, *wf, 31 + index as u64);
-            let a = QMatrix::pseudo_random(40, 12, *af, 32 + round);
+        for index in 0..pairs.len() {
             let response = engine
-                .submit(&GemmRequest::new(w, a))
+                .submit(&request(index, round))
                 .expect("churn shapes are feasible");
             stats = stats.merged(&response.stats);
             energy_pj += response.energy_pj;

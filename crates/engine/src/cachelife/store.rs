@@ -1,13 +1,17 @@
 //! On-disk persistence of LUT-cache images (`std::fs` only).
 //!
-//! A cache directory holds one checksummed binary file per cache key plus
-//! a checksummed manifest listing them:
+//! A cache directory holds one checksummed binary file per distinct
+//! image — canonical and reordering images separately, so a reordering
+//! image shared by several `(wf, af, p)` keys is written once — plus a
+//! checksummed manifest listing them:
 //!
 //! ```text
 //! <dir>/manifest.lcm          magic "LCLM", version, entry table, FNV-64
-//! <dir>/lut-<keyhex>.bin      magic "LCLT", version, key, canonical
-//!                             image (i32 LE), reorder image (u64 LE),
-//!                             FNV-64 over everything before it
+//! <dir>/lut-<keyhex>.bin      magic "LCLT", version, image key, rows,
+//!                             cols, entries (canonical: i32 LE;
+//!                             reordering: LE at the stored width, see
+//!                             ReorderLut::to_le_bytes), FNV-64 over
+//!                             everything before it
 //! ```
 //!
 //! All integers are little-endian; the checksum is the workspace-standard
@@ -15,7 +19,10 @@
 //! The manifest records each image file's length and checksum, so a
 //! truncated, corrupted, or swapped file is detected before any entry is
 //! trusted — and every failure is a typed [`StoreError`], which the
-//! engine maps to "fall back to a cold build" rather than a crash.
+//! engine maps to "fall back to a cold build" rather than a crash. No
+//! decoder allocation is sized by a count read from a file: entry vectors
+//! are sized by the bytes actually present, and the header's shape is
+//! checked against the decoded image afterwards.
 //!
 //! LUT images are pure functions of their key, so restoring one is
 //! bitwise equivalent to rebuilding it; the store exists purely to skip
@@ -23,10 +30,8 @@
 //! go through a temp file + rename so a crashed writer can't leave a
 //! half-written manifest that parses.
 
-use crate::cache::LutKey;
+use crate::cache::{ImageKey, LutImage, LutKey};
 use localut::canonical::CanonicalLut;
-use localut::kernels::SharedLuts;
-use localut::plan::Placement;
 use localut::reorder::ReorderLut;
 use quant::NumericFormat;
 use runtime::fnv1a_64;
@@ -37,12 +42,16 @@ use std::path::{Path, PathBuf};
 const MANIFEST_MAGIC: [u8; 4] = *b"LCLM";
 /// Image-file magic bytes.
 const IMAGE_MAGIC: [u8; 4] = *b"LCLT";
-/// On-disk format version (bumped on any incompatible layout change).
-const VERSION: u16 = 1;
+/// On-disk format version (bumped on any incompatible layout change;
+/// version 1 stored one `(wf, af, p, placement)` pair per file with `u64`
+/// reordering entries).
+const VERSION: u16 = 2;
 /// Manifest file name inside a cache directory.
 const MANIFEST_NAME: &str = "manifest.lcm";
-/// Bytes of one encoded [`LutKey`].
+/// Bytes of one encoded [`ImageKey`].
 const KEY_BYTES: usize = 10;
+/// Bytes of one manifest entry: key, image length, image checksum.
+const MANIFEST_ENTRY_BYTES: usize = KEY_BYTES + 16;
 
 /// Why a cache directory could not be read or written.
 ///
@@ -118,12 +127,14 @@ fn io_error(path: &Path, e: &std::io::Error) -> StoreError {
     }
 }
 
-/// The canonical 10-byte encoding of a cache key: format tags and bit
-/// widths, packing degree, placement. Doubles as the persistence sort
-/// key and the image file name stem, so on-disk layout is a pure
-/// function of the cache contents.
+/// The canonical 10-byte encoding of an image key: a kind tag
+/// (0 canonical, 1 reordering), the format tags and bit widths (the
+/// reordering kind has only the weight width), and the packing degree.
+/// Doubles as the persistence sort key — canonical images first — and the
+/// image file name stem, so on-disk layout is a pure function of the
+/// cache contents.
 #[must_use]
-pub fn key_bytes(key: LutKey) -> [u8; KEY_BYTES] {
+pub fn key_bytes(key: ImageKey) -> [u8; KEY_BYTES] {
     fn format_tag(f: NumericFormat) -> (u8, u8) {
         match f {
             NumericFormat::Int(b) => (0, b),
@@ -134,14 +145,12 @@ pub fn key_bytes(key: LutKey) -> [u8; KEY_BYTES] {
             NumericFormat::Fp16 => (5, 16),
         }
     }
-    let (wt, wb) = format_tag(key.wf);
-    let (at, ab) = format_tag(key.af);
-    let p = key.p.to_le_bytes();
-    let placement = match key.placement {
-        Placement::BufferResident => 0u8,
-        Placement::Streaming => 1u8,
+    let (kind, (wt, wb), (at, ab), p) = match key {
+        ImageKey::Canonical(LutKey { wf, af, p }) => (0, format_tag(wf), format_tag(af), p),
+        ImageKey::Reorder { bits, p } => (1, (0, bits), (0, 0), p),
     };
-    [wt, wb, at, ab, p[0], p[1], p[2], p[3], placement, 0]
+    let p = p.to_le_bytes();
+    [kind, wt, wb, at, ab, p[0], p[1], p[2], p[3], 0]
 }
 
 fn decode_format(tag: u8, bits: u8, path: &Path) -> Result<NumericFormat, StoreError> {
@@ -152,37 +161,32 @@ fn decode_format(tag: u8, bits: u8, path: &Path) -> Result<NumericFormat, StoreE
         3 => Ok(NumericFormat::Fp4),
         4 => Ok(NumericFormat::Fp8),
         5 => Ok(NumericFormat::Fp16),
-        other => Err(StoreError::Corrupt {
-            path: path.display().to_string(),
-            detail: format!("unknown numeric-format tag {other}"),
-        }),
+        other => Err(corrupt(path, format!("unknown numeric-format tag {other}"))),
     }
 }
 
-fn decode_key(bytes: &[u8], path: &Path) -> Result<LutKey, StoreError> {
-    let wf = decode_format(bytes[0], bytes[1], path)?;
-    let af = decode_format(bytes[2], bytes[3], path)?;
-    let p = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    let placement = match bytes[8] {
-        0 => Placement::BufferResident,
-        1 => Placement::Streaming,
-        other => {
-            return Err(StoreError::Corrupt {
-                path: path.display().to_string(),
-                detail: format!("unknown placement tag {other}"),
-            });
-        }
-    };
-    Ok(LutKey {
-        wf,
-        af,
-        p,
-        placement,
-    })
+fn decode_key(bytes: &[u8], path: &Path) -> Result<ImageKey, StoreError> {
+    let p = u32::from_le_bytes([bytes[5], bytes[6], bytes[7], bytes[8]]);
+    match bytes[0] {
+        0 => Ok(ImageKey::Canonical(LutKey {
+            wf: decode_format(bytes[1], bytes[2], path)?,
+            af: decode_format(bytes[3], bytes[4], path)?,
+            p,
+        })),
+        1 => Ok(ImageKey::Reorder { bits: bytes[2], p }),
+        other => Err(corrupt(path, format!("unknown image-kind tag {other}"))),
+    }
 }
 
-/// The image file name for a cache key.
-fn image_name(key: LutKey) -> String {
+fn corrupt(path: &Path, detail: String) -> StoreError {
+    StoreError::Corrupt {
+        path: path.display().to_string(),
+        detail,
+    }
+}
+
+/// The image file name for an image key.
+fn image_name(key: ImageKey) -> String {
     let hex: String = key_bytes(key).iter().map(|b| format!("{b:02x}")).collect();
     format!("lut-{hex}.bin")
 }
@@ -255,36 +259,26 @@ fn finish_with_checksum(mut bytes: Vec<u8>) -> Vec<u8> {
     bytes
 }
 
-fn encode_image(key: LutKey, luts: &SharedLuts) -> Vec<u8> {
-    let canonical = luts.canonical();
-    let reorder = luts.reorder();
-    let mut out = Vec::with_capacity(
-        4 + 2
-            + KEY_BYTES
-            + 16
-            + canonical.entries().len() * 4
-            + 17
-            + reorder.entries().len() * 8
-            + 8,
-    );
+fn encode_image(key: ImageKey, image: &LutImage) -> Vec<u8> {
+    let (rows, cols, entries) = match image {
+        LutImage::Canonical(lut) => (
+            lut.rows(),
+            lut.cols(),
+            lut.entries().iter().flat_map(|v| v.to_le_bytes()).collect(),
+        ),
+        LutImage::Reorder(lut) => (lut.rows(), lut.cols(), lut.to_le_bytes()),
+    };
+    let mut out = Vec::with_capacity(4 + 2 + KEY_BYTES + 16 + entries.len() + 8);
     out.extend_from_slice(&IMAGE_MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&key_bytes(key));
-    out.extend_from_slice(&canonical.rows().to_le_bytes());
-    out.extend_from_slice(&canonical.cols().to_le_bytes());
-    for &v in canonical.entries() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out.push(reorder.bits());
-    out.extend_from_slice(&reorder.rows().to_le_bytes());
-    out.extend_from_slice(&reorder.cols().to_le_bytes());
-    for &v in reorder.entries() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    out.extend_from_slice(&rows.to_le_bytes());
+    out.extend_from_slice(&cols.to_le_bytes());
+    out.extend_from_slice(&entries);
     finish_with_checksum(out)
 }
 
-fn decode_image(bytes: &[u8], path: &Path) -> Result<(LutKey, SharedLuts), StoreError> {
+fn decode_image(bytes: &[u8], path: &Path) -> Result<(ImageKey, LutImage), StoreError> {
     let payload = check_envelope(bytes, IMAGE_MAGIC, path)?;
     let mut r = Reader {
         bytes: payload,
@@ -292,49 +286,38 @@ fn decode_image(bytes: &[u8], path: &Path) -> Result<(LutKey, SharedLuts), Store
         path,
     };
     let key = decode_key(r.take(KEY_BYTES)?, path)?;
-    let corrupt = |detail: String| StoreError::Corrupt {
-        path: path.display().to_string(),
-        detail,
-    };
-    let count = |rows: u64, cols: u64| -> Result<usize, StoreError> {
-        usize::try_from(
-            rows.checked_mul(cols)
-                .ok_or_else(|| corrupt(format!("image shape {rows} x {cols} overflows")))?,
-        )
-        .map_err(|_| corrupt(format!("image shape {rows} x {cols} exceeds host memory")))
-    };
     let (rows, cols) = (r.u64()?, r.u64()?);
-    let mut canonical_entries = Vec::with_capacity(count(rows, cols)?);
-    for _ in 0..count(rows, cols)? {
-        let b = r.take(4)?;
-        canonical_entries.push(i32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+    // Everything after the shape is entries: the decoders below size
+    // their vectors by these bytes, never by `rows · cols`.
+    let body = &payload[r.at..];
+    let (image, shape) = match key {
+        ImageKey::Canonical(LutKey { wf, af, p }) => {
+            if body.len() % 4 != 0 {
+                return Err(corrupt(path, "ragged canonical entries".to_owned()));
+            }
+            let entries = body
+                .chunks_exact(4)
+                .map(|b| i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                .collect();
+            let lut = CanonicalLut::<i32>::from_parts(wf, af, p, entries)
+                .map_err(|e| corrupt(path, format!("canonical image: {e}")))?;
+            let shape = (lut.rows(), lut.cols());
+            (LutImage::Canonical(lut.into()), shape)
+        }
+        ImageKey::Reorder { bits, p } => {
+            let lut = ReorderLut::from_le_bytes(bits, p, body)
+                .map_err(|e| corrupt(path, format!("reorder image: {e}")))?;
+            let shape = (lut.rows(), lut.cols());
+            (LutImage::Reorder(lut.into()), shape)
+        }
+    };
+    if shape != (rows, cols) {
+        return Err(corrupt(
+            path,
+            format!("header shape {rows} x {cols} does not match the image"),
+        ));
     }
-    let canonical = CanonicalLut::<i32>::from_parts(key.wf, key.af, key.p, canonical_entries)
-        .map_err(|e| corrupt(format!("canonical image: {e}")))?;
-    if (canonical.rows(), canonical.cols()) != (rows, cols) {
-        return Err(corrupt(format!(
-            "canonical shape {rows} x {cols} does not match the key"
-        )));
-    }
-    let bits = r.take(1)?[0];
-    let (rrows, rcols) = (r.u64()?, r.u64()?);
-    let mut reorder_entries = Vec::with_capacity(count(rrows, rcols)?);
-    for _ in 0..count(rrows, rcols)? {
-        reorder_entries.push(r.u64()?);
-    }
-    if r.at != r.bytes.len() {
-        return Err(corrupt("trailing bytes after the reorder image".to_owned()));
-    }
-    let reorder = ReorderLut::from_parts(bits, key.p, reorder_entries)
-        .map_err(|e| corrupt(format!("reorder image: {e}")))?;
-    if (reorder.rows(), reorder.cols()) != (rrows, rcols) {
-        return Err(corrupt(format!(
-            "reorder shape {rrows} x {rcols} does not match the key"
-        )));
-    }
-    let luts = SharedLuts::from_parts(canonical, reorder)
-        .map_err(|e| corrupt(format!("image pair: {e}")))?;
-    Ok((key, luts))
+    Ok((key, image))
 }
 
 /// Writes every `(key, image)` pair to `dir` (created if absent) and
@@ -345,7 +328,7 @@ fn decode_image(bytes: &[u8], path: &Path) -> Result<(LutKey, SharedLuts), Store
 /// # Errors
 ///
 /// [`StoreError::Io`] on any filesystem failure.
-pub fn save(dir: &Path, entries: &[(LutKey, SharedLuts)]) -> Result<(), StoreError> {
+pub fn save(dir: &Path, entries: &[(ImageKey, LutImage)]) -> Result<(), StoreError> {
     std::fs::create_dir_all(dir).map_err(|e| io_error(dir, &e))?;
     let mut manifest = Vec::new();
     manifest.extend_from_slice(&MANIFEST_MAGIC);
@@ -355,8 +338,8 @@ pub fn save(dir: &Path, entries: &[(LutKey, SharedLuts)]) -> Result<(), StoreErr
             .unwrap_or(u32::MAX)
             .to_le_bytes(),
     );
-    for (key, luts) in entries {
-        let image = encode_image(*key, luts);
+    for (key, lut) in entries {
+        let image = encode_image(*key, lut);
         let image_path = dir.join(image_name(*key));
         write_atomically(&image_path, &image)?;
         manifest.extend_from_slice(&key_bytes(*key));
@@ -385,7 +368,7 @@ fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
 ///
 /// Any [`StoreError`]; the caller is expected to fall back to a cold
 /// cache and surface the error as an observable, not fatal, condition.
-pub fn load(dir: &Path) -> Result<Vec<(LutKey, SharedLuts)>, StoreError> {
+pub fn load(dir: &Path) -> Result<Vec<(ImageKey, LutImage)>, StoreError> {
     let manifest_path = dir.join(MANIFEST_NAME);
     let bytes = match std::fs::read(&manifest_path) {
         Ok(bytes) => bytes,
@@ -399,38 +382,37 @@ pub fn load(dir: &Path) -> Result<Vec<(LutKey, SharedLuts)>, StoreError> {
         path: &manifest_path,
     };
     let count = r.u32()?;
-    let mut entries = Vec::with_capacity(count as usize);
+    // A claimed count beyond what the table's bytes can hold fails on
+    // the first short read below; it never sizes an allocation.
+    let mut entries =
+        Vec::with_capacity((count as usize).min(payload.len() / MANIFEST_ENTRY_BYTES));
     for _ in 0..count {
         let key = decode_key(r.take(KEY_BYTES)?, &manifest_path)?;
         let recorded_len = r.u64()?;
         let recorded_checksum = r.u64()?;
         let image_path = dir.join(image_name(key));
         let image = std::fs::read(&image_path).map_err(|e| io_error(&image_path, &e))?;
-        if image.len() as u64 != recorded_len {
+        let tail = image.len().checked_sub(8).map(|at| &image[at..]);
+        if image.len() as u64 != recorded_len || tail != Some(&recorded_checksum.to_le_bytes()[..])
+        {
             return Err(StoreError::ChecksumMismatch {
                 path: image_path.display().to_string(),
             });
         }
-        let tail = u64::from_le_bytes(image[image.len() - 8..].try_into().expect("8-byte tail"));
-        if tail != recorded_checksum {
-            return Err(StoreError::ChecksumMismatch {
-                path: image_path.display().to_string(),
-            });
-        }
-        let (decoded_key, luts) = decode_image(&image, &image_path)?;
+        let (decoded_key, lut) = decode_image(&image, &image_path)?;
         if decoded_key != key {
-            return Err(StoreError::Corrupt {
-                path: image_path.display().to_string(),
-                detail: "image key does not match its manifest entry".to_owned(),
-            });
+            return Err(corrupt(
+                &image_path,
+                "image key does not match its manifest entry".to_owned(),
+            ));
         }
-        entries.push((key, luts));
+        entries.push((key, lut));
     }
     if r.at != r.bytes.len() {
-        return Err(StoreError::Corrupt {
-            path: manifest_path.display().to_string(),
-            detail: "trailing bytes after the entry table".to_owned(),
-        });
+        return Err(corrupt(
+            &manifest_path,
+            "trailing bytes after the entry table".to_owned(),
+        ));
     }
     Ok(entries)
 }
@@ -453,36 +435,101 @@ mod tests {
         dir
     }
 
-    fn sample_key(p: u32, placement: Placement) -> LutKey {
-        LutKey {
+    fn canonical_key(p: u32) -> ImageKey {
+        ImageKey::Canonical(LutKey {
             wf: NumericFormat::Int(2),
             af: NumericFormat::Int(3),
             p,
-            placement,
-        }
+        })
     }
 
-    fn sample_entry(p: u32, placement: Placement) -> (LutKey, SharedLuts) {
-        let key = sample_key(p, placement);
-        (key, SharedLuts::build(key.wf, key.af, key.p).unwrap())
+    fn sample_entry(key: ImageKey) -> (ImageKey, LutImage) {
+        (key, LutImage::build(key).unwrap())
+    }
+
+    /// Bitwise image equality (the `Arc`s differ after a restore).
+    fn same_image(a: &LutImage, b: &LutImage) -> bool {
+        match (a, b) {
+            (LutImage::Canonical(a), LutImage::Canonical(b)) => a == b,
+            (LutImage::Reorder(a), LutImage::Reorder(b)) => a == b,
+            _ => false,
+        }
     }
 
     #[test]
     fn roundtrip_is_bitwise_identical() {
         let dir = tempdir("roundtrip");
+        // Canonical images, and reordering images at u8 (1·4 bits) and
+        // u16 (4·3 bits) storage.
         let entries = vec![
-            sample_entry(2, Placement::BufferResident),
-            sample_entry(3, Placement::Streaming),
+            sample_entry(canonical_key(2)),
+            sample_entry(canonical_key(3)),
+            sample_entry(ImageKey::Reorder { bits: 1, p: 4 }),
+            sample_entry(ImageKey::Reorder { bits: 4, p: 3 }),
         ];
         save(&dir, &entries).unwrap();
         let loaded = load(&dir).unwrap();
-        assert_eq!(loaded.len(), 2);
+        assert_eq!(loaded.len(), entries.len());
         for ((key, built), (lkey, restored)) in entries.iter().zip(&loaded) {
             assert_eq!(key, lkey);
-            assert_eq!(built.canonical().entries(), restored.canonical().entries());
-            assert_eq!(built.reorder().entries(), restored.reorder().entries());
+            assert!(same_image(built, restored), "{key:?}");
             assert_eq!(built.resident_bytes(), restored.resident_bytes());
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn image_claiming_more_entries_than_it_holds_is_corrupt() {
+        // A well-formed envelope (valid checksum) whose header claims
+        // 2^20 x 2^20 = 2^40 entries over a handful of bytes: decoding
+        // must be a typed error, not a multi-terabyte allocation.
+        for key in [canonical_key(2), ImageKey::Reorder { bits: 2, p: 2 }] {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&IMAGE_MAGIC);
+            bytes.extend_from_slice(&VERSION.to_le_bytes());
+            bytes.extend_from_slice(&key_bytes(key));
+            bytes.extend_from_slice(&(1u64 << 20).to_le_bytes());
+            bytes.extend_from_slice(&(1u64 << 20).to_le_bytes());
+            bytes.extend_from_slice(&[0; 16]);
+            let image = finish_with_checksum(bytes);
+            let err = decode_image(&image, Path::new("claim.bin")).unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt { .. }), "{key:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn version_1_store_is_an_unsupported_version() {
+        let dir = tempdir("v1");
+        let mut manifest = MANIFEST_MAGIC.to_vec();
+        manifest.extend_from_slice(&1u16.to_le_bytes());
+        manifest.extend_from_slice(&0u32.to_le_bytes());
+        std::fs::write(manifest_path(&dir), finish_with_checksum(manifest)).unwrap();
+        assert!(matches!(
+            load(&dir).unwrap_err(),
+            StoreError::UnsupportedVersion { version: 1, .. }
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn image_shorter_than_its_checksum_is_typed() {
+        let dir = tempdir("short");
+        let entries = [sample_entry(canonical_key(2))];
+        save(&dir, &entries).unwrap();
+        // Point the manifest at a 3-byte image file that matches its
+        // recorded length.
+        let mut manifest = MANIFEST_MAGIC.to_vec();
+        manifest.extend_from_slice(&VERSION.to_le_bytes());
+        manifest.extend_from_slice(&1u32.to_le_bytes());
+        manifest.extend_from_slice(&key_bytes(entries[0].0));
+        manifest.extend_from_slice(&3u64.to_le_bytes());
+        manifest.extend_from_slice(&0u64.to_le_bytes());
+        std::fs::write(manifest_path(&dir), finish_with_checksum(manifest)).unwrap();
+        std::fs::write(dir.join(image_name(entries[0].0)), [1, 2, 3]).unwrap();
+        assert!(matches!(
+            load(&dir).unwrap_err(),
+            StoreError::ChecksumMismatch { .. }
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -496,7 +543,7 @@ mod tests {
     #[test]
     fn truncated_manifest_is_typed() {
         let dir = tempdir("truncated");
-        save(&dir, &[sample_entry(2, Placement::BufferResident)]).unwrap();
+        save(&dir, &[sample_entry(canonical_key(2))]).unwrap();
         let path = manifest_path(&dir);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
@@ -512,7 +559,7 @@ mod tests {
     #[test]
     fn corrupt_image_byte_is_detected() {
         let dir = tempdir("flip");
-        let entries = [sample_entry(2, Placement::BufferResident)];
+        let entries = [sample_entry(canonical_key(2))];
         save(&dir, &entries).unwrap();
         let image_path = dir.join(image_name(entries[0].0));
         let mut bytes = std::fs::read(&image_path).unwrap();
@@ -556,14 +603,16 @@ mod tests {
     }
 
     #[test]
-    fn key_bytes_sorts_formats_before_degrees() {
-        // Sanity: distinct keys encode distinctly and deterministically.
-        let a = key_bytes(sample_key(2, Placement::BufferResident));
-        let b = key_bytes(sample_key(2, Placement::Streaming));
-        let c = key_bytes(sample_key(3, Placement::BufferResident));
+    fn key_bytes_are_distinct_and_sort_canonical_images_first() {
+        let a = key_bytes(canonical_key(2));
+        let b = key_bytes(canonical_key(3));
+        let r = key_bytes(ImageKey::Reorder { bits: 2, p: 2 });
         assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a, key_bytes(sample_key(2, Placement::BufferResident)));
+        assert_eq!(a, key_bytes(canonical_key(2)));
+        assert!(a < r && b < r);
+        for key in [canonical_key(2), ImageKey::Reorder { bits: 2, p: 2 }] {
+            assert_eq!(decode_key(&key_bytes(key), Path::new("k")).unwrap(), key);
+        }
     }
 
     #[test]

@@ -12,11 +12,13 @@
 //!   [`BatchGemmRequest`], [`InferenceRequest`]) and returns typed
 //!   responses carrying values, merged [`pim_sim::Stats`], picojoule
 //!   energy, and checksums, all through a single [`EngineError`].
-//! * **LUT caching** — the engine owns a keyed cache
-//!   (`(formats, p, placement) → SharedLuts`), so repeated requests skip
-//!   the expensive canonical/reordering rebuild: the first real step
-//!   toward request-serving throughput. Cache behavior is observable via
-//!   [`Engine::lut_cache_stats`] and per-response [`CacheOutcome`]s.
+//! * **LUT caching** — the engine owns a keyed cache holding one image
+//!   per distinct dependency (canonical images by `(formats, p)`,
+//!   reordering images by `(weight bits, p)`), so repeated requests skip
+//!   the expensive canonical/reordering rebuild and activation formats
+//!   that share a weight width share one reordering image. Cache
+//!   behavior is observable via [`Engine::lut_cache_stats`] and
+//!   per-response [`CacheOutcome`]s.
 //! * [`Session`] — a lightweight accumulator over one engine for serving
 //!   sessions: per-session merged statistics, energy, and request counts.
 //! * [`serve`] — the **concurrent serving scheduler**: a thread-safe
@@ -70,7 +72,7 @@ pub mod serve;
 pub mod sessions;
 pub mod traffic;
 
-pub use cache::{CacheOutcome, CacheStats, LutKey};
+pub use cache::{CacheOutcome, CacheStats, ImageKey, LutImage, LutKey};
 pub use cachelife::memo::MemoStats;
 pub use cachelife::store::StoreError;
 pub use error::{EngineError, FrameError, NetError, Rejection};
@@ -783,13 +785,8 @@ impl Engine {
             wf,
             af,
             dims,
-            |wf, af, p, placement| {
-                let (luts, outcome) = self.cache.get_or_build(LutKey {
-                    wf,
-                    af,
-                    p,
-                    placement,
-                })?;
+            |wf, af, p, _| {
+                let (luts, outcome) = self.cache.get_or_build(LutKey { wf, af, p })?;
                 recorded = Some(outcome);
                 Ok(luts)
             },
@@ -804,12 +801,7 @@ impl Engine {
         wf: NumericFormat,
         af: NumericFormat,
     ) -> Result<(BankKernel, CacheOutcome), EngineError> {
-        let (luts, outcome) = self.cache.get_or_build(LutKey {
-            wf,
-            af,
-            p: pin.p,
-            placement: pin.placement,
-        })?;
+        let (luts, outcome) = self.cache.get_or_build(LutKey { wf, af, p: pin.p })?;
         let bank = match pin.placement {
             Placement::BufferResident => BankKernel::with_shared_luts(
                 RcKernel::with_p(self.gemm.dpu.clone(), wf, af, pin.p)?,
@@ -980,7 +972,8 @@ mod tests {
         assert_eq!(f.energy_pj, s.energy_pj);
         assert_eq!(f.checksum, s.checksum);
         let stats = engine.lut_cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        // One key: a canonical and a reordering image.
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 2));
         assert!(stats.resident_bytes > 0, "cached LUTs occupy bytes");
     }
 

@@ -151,7 +151,8 @@ impl SessionResponse {
 /// The per-phase execution plans a session resolves to — the paper's
 /// fig. 13/fig. 19 observation made concrete: prefill (token-parallel,
 /// wide `n`) and decode (one token per sample, skinny `n`) pick their
-/// own packing degree and placement, hence their own LUT-cache keys.
+/// own packing degree and placement. Placement keys no LUT image, so the
+/// two phases share images unless their packing degrees differ.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionPlans {
     /// Plan for the representative prefill-phase tile (closed-form
@@ -181,7 +182,6 @@ fn plan_key(plan: &ExecutionPlan) -> LutKey {
         wf: plan.wf,
         af: plan.af,
         p: plan.p,
-        placement: plan.placement,
     }
 }
 
@@ -440,7 +440,9 @@ mod tests {
         assert_eq!(first, (CacheOutcome::Miss, CacheOutcome::Miss));
         let again = engine.warm_session(&request).unwrap().unwrap();
         assert_eq!(again, (CacheOutcome::Hit, CacheOutcome::Hit));
-        assert_eq!(engine.lut_cache_stats().entries, 2);
+        // Two (wf, af, p) keys at distinct degrees: two canonical and two
+        // reordering images.
+        assert_eq!(engine.lut_cache_stats().entries, 4);
         // LUT-free methods have nothing to warm.
         assert_eq!(
             engine

@@ -43,9 +43,9 @@ pub use rc::RcKernel;
 pub use streaming::StreamingKernel;
 
 use crate::canonical::CanonicalLut;
-use crate::codes::ActivationPanel;
+use crate::codes::{ActivationPanel, PackedCodes};
 use crate::gemm::{GemmConfig, GemmDims, GemmResult, Method};
-use crate::reorder::ReorderLut;
+use crate::reorder::{ReorderLut, ReorderWord, Storage};
 use crate::LocaLutError;
 use pim_sim::{Category, Dpu, Profile};
 use quant::{NumericFormat, QMatrix};
@@ -53,8 +53,9 @@ use std::sync::Arc;
 
 /// Guard against accidentally materializing astronomically large LUTs in
 /// host memory during functional runs. All UPMEM-budget-feasible LUTs fit
-/// comfortably (the largest, W1A3 at `p = 8`, is ~12 M entries).
-pub(crate) const MAX_MATERIALIZED_ENTRIES: u64 = 1 << 26;
+/// comfortably (the largest, W1A3 at `p = 8`, is ~12 M entries). It also
+/// caps a reordering LUT's `bits·p` at 26, so its entries fit `u32`.
+pub const MAX_MATERIALIZED_ENTRIES: u64 = 1 << 26;
 
 /// Width of the N-tile the blocked buffer-resident loops process per slice
 /// resolution batch: 16 consecutive output columns share the same 64-byte
@@ -122,6 +123,68 @@ pub(crate) fn check_panel(
         ));
     }
     Ok(())
+}
+
+/// The blocked M-pass both canonicalized arms share. For each K-block,
+/// `tile` activation columns at a time resolve their canonical/reordering
+/// column pairs from the panel once, then one linear pass over the packed
+/// weight rows gathers the whole `M × tile` output tile: contiguous
+/// packed-weight reads, contiguous output writes, and both LUT column
+/// slices hot in cache. The reordering entry width is matched once here,
+/// never per element.
+pub(crate) fn gather_tiles(
+    luts: &SharedLuts,
+    panel: &ActivationPanel,
+    wpacked: &PackedCodes,
+    dims: GemmDims,
+    tile: usize,
+) -> Vec<i32> {
+    let canonical = luts.canonical();
+    let rows = luts.reorder().rows() as usize;
+    match luts.reorder().storage() {
+        Storage::U8(e) => gather_typed(canonical, e, rows, panel, wpacked, dims, tile),
+        Storage::U16(e) => gather_typed(canonical, e, rows, panel, wpacked, dims, tile),
+        Storage::U32(e) => gather_typed(canonical, e, rows, panel, wpacked, dims, tile),
+    }
+}
+
+fn gather_typed<T: ReorderWord>(
+    canonical: &CanonicalLut<i32>,
+    reorder: &[T],
+    rows: usize,
+    panel: &ActivationPanel,
+    wpacked: &PackedCodes,
+    dims: GemmDims,
+    tile: usize,
+) -> Vec<i32> {
+    let mut values = vec![0i32; dims.m * dims.n];
+    let mut cols: Vec<(&[i32], &[T])> = Vec::with_capacity(tile);
+    for kb in 0..panel.packed().groups() {
+        // Contiguous in m — the M-pass below is a linear scan.
+        let wcol = wpacked.group(kb);
+        for n0 in (0..dims.n).step_by(tile) {
+            let n1 = dims.n.min(n0 + tile);
+            // Hoist the tile's column pairs once per M-pass: one bounds
+            // check per group instead of two checked 2D lookups per
+            // element.
+            cols.clear();
+            for n in n0..n1 {
+                let (col, perm_id) = panel.pair(kb, n);
+                let start = perm_id as usize * rows;
+                cols.push((canonical.column_slice(col), &reorder[start..start + rows]));
+            }
+            for m in 0..dims.m {
+                // One packed-row load, then one reordering lookup and one
+                // canonical lookup per tile column.
+                let row = wcol[m] as usize;
+                let out = &mut values[m * dims.n + n0..m * dims.n + n1];
+                for (acc, &(canon_col, reord_col)) in out.iter_mut().zip(&cols) {
+                    *acc += canon_col[reord_col[row].index()];
+                }
+            }
+        }
+    }
+    values
 }
 
 /// The unified kernel interface every arm of the evaluation implements.
@@ -291,6 +354,20 @@ impl SharedLuts {
         canonical: CanonicalLut<i32>,
         reorder: ReorderLut,
     ) -> Result<Self, LocaLutError> {
+        Self::from_shared(Arc::new(canonical), Arc::new(reorder))
+    }
+
+    /// [`SharedLuts::from_parts`] over images that are already shared: a
+    /// cache pairs one reordering image (keyed by `(wf.bits(), p)`) with
+    /// every canonical image of that weight width and degree.
+    ///
+    /// # Errors
+    ///
+    /// As [`SharedLuts::from_parts`].
+    pub fn from_shared(
+        canonical: Arc<CanonicalLut<i32>>,
+        reorder: Arc<ReorderLut>,
+    ) -> Result<Self, LocaLutError> {
         if reorder.bits() != canonical.weight_format().bits() || reorder.p() != canonical.p() {
             return Err(LocaLutError::UnsupportedFormat(
                 "reordering LUT shape does not match the canonical LUT's (wf, p)",
@@ -302,8 +379,8 @@ impl SharedLuts {
             canonical.p(),
         );
         Ok(SharedLuts {
-            canonical: Arc::new(canonical),
-            reorder: Arc::new(reorder),
+            canonical,
+            reorder,
             wf,
             af,
             p,
@@ -311,13 +388,15 @@ impl SharedLuts {
     }
 
     /// Host bytes the materialized images occupy (canonical `i32` entries
-    /// plus reordering `u64` entries) — the unit a byte-budgeted cache
-    /// accounts residency in. A pure function of the image dimensions, so
-    /// identical for a fresh build and a disk restore of the same key.
+    /// plus reordering entries at their stored width, see
+    /// [`ReorderLut::resident_bytes`]). A pure function of the image
+    /// dimensions, so identical for a fresh build and a disk restore of
+    /// the same key. A cache that shares one reordering image between
+    /// several pairs counts it once, not once per pair.
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
         self.canonical.entry_count() * std::mem::size_of::<i32>() as u64
-            + self.reorder.entry_count() * std::mem::size_of::<u64>() as u64
+            + self.reorder.resident_bytes()
     }
 
     /// The shared canonical LUT.

@@ -11,8 +11,8 @@ use crate::capacity::{localut_bytes, max_p_localut};
 use crate::codes::{ActivationPanel, PackedCodes};
 use crate::gemm::{GemmDims, GemmResult, Method};
 use crate::kernels::{
-    charge_operand_input, charge_output, check_panel, pad_code_for, require_integer, LutKernel,
-    SharedLuts, N_TILE,
+    charge_operand_input, charge_output, check_panel, gather_tiles, pad_code_for, require_integer,
+    LutKernel, SharedLuts, N_TILE,
 };
 use crate::LocaLutError;
 use pim_sim::{Category, Dpu, DpuConfig, Profile};
@@ -186,8 +186,6 @@ impl RcKernel {
         let dims = self.validate_operands(w, a)?;
         let p = self.p as usize;
         let pad = pad_code_for(self.af, dims.k, p)?;
-        let canonical = luts.canonical();
-        let reorder = luts.reorder();
         let kblocks = dims.k.div_ceil(p);
         check_panel(panel, self.af.bits(), p, kblocks, dims.n)?;
         debug_assert_eq!(
@@ -200,32 +198,7 @@ impl RcKernel {
         // reused across every output column.
         let wpacked = PackedCodes::pack_weight_rows(w, p);
 
-        let mut values = vec![0i32; dims.m * dims.n];
-        let mut cols: Vec<(&[i32], &[u64])> = Vec::with_capacity(N_TILE);
-        for kb in 0..kblocks {
-            // Contiguous in m — the M-pass below is a linear scan.
-            let wcol = wpacked.group(kb);
-            for n0 in (0..dims.n).step_by(N_TILE) {
-                let n1 = dims.n.min(n0 + N_TILE);
-                // Hoist the tile's column pairs once per M-pass: one
-                // bounds check per group (column base hoist) instead of
-                // two checked 2D lookups per element.
-                cols.clear();
-                for n in n0..n1 {
-                    let (col, perm_id) = panel.pair(kb, n);
-                    cols.push((canonical.column_slice(col), reorder.column_slice(perm_id)));
-                }
-                for m in 0..dims.m {
-                    // One packed-row load, then one reordering lookup and
-                    // one canonical lookup per tile column.
-                    let row = wcol[m] as usize;
-                    let out = &mut values[m * dims.n + n0..m * dims.n + n1];
-                    for (acc, &(canon_col, reord_col)) in out.iter_mut().zip(&cols) {
-                        *acc += canon_col[reord_col[row] as usize];
-                    }
-                }
-            }
-        }
+        let values = gather_tiles(luts, panel, &wpacked, dims, N_TILE);
 
         let mut dpu = Dpu::new(self.cfg.clone());
         self.charge(dims, &mut dpu);

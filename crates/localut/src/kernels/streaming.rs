@@ -12,7 +12,7 @@ use crate::capacity::{localut_bytes, slice_pair_bytes};
 use crate::codes::{ActivationPanel, PackedCodes};
 use crate::gemm::{GemmDims, GemmResult, Method};
 use crate::kernels::{
-    charge_output, check_panel, pad_code_for, require_integer, LutKernel, SharedLuts,
+    charge_output, check_panel, gather_tiles, pad_code_for, require_integer, LutKernel, SharedLuts,
 };
 use crate::LocaLutError;
 use pim_sim::{Category, Dpu, DpuConfig, Profile};
@@ -195,10 +195,7 @@ impl StreamingKernel {
         let dims = self.validate_operands(w, a)?;
         let p = self.p as usize;
         let pad = pad_code_for(self.af, dims.k, p)?;
-        let canonical = luts.canonical();
-        let reorder = luts.reorder();
         let kblocks = dims.k.div_ceil(p);
-        let kk = self.k_slices as usize;
         check_panel(panel, self.af.bits(), p, kblocks, dims.n)?;
         debug_assert_eq!(
             panel.packed(),
@@ -211,35 +208,11 @@ impl StreamingKernel {
         // visit.
         let wpacked = PackedCodes::pack_weight_rows(w, p);
 
-        let mut values = vec![0i32; dims.m * dims.n];
-        let mut slices: Vec<(&[i32], &[u64])> = Vec::with_capacity(kk);
-        for kb in 0..kblocks {
-            // Contiguous in m — the M-pass below is a linear scan.
-            let wcol = wpacked.group(kb);
-            // Process the N columns of this K-block in batches of k groups:
-            // their slice pairs co-reside in WRAM while the weight block
-            // streams once per batch.
-            for n0 in (0..dims.n).step_by(kk) {
-                let n1 = dims.n.min(n0 + kk);
-                // "Stream" the slice pairs: hoist the column bases from the
-                // panel's resolved pairs (functional model — the
-                // canonical/reorder structures are bank data, so borrowing
-                // is enough; the stream's cost is charged analytically).
-                slices.clear();
-                for n in n0..n1 {
-                    let (col, perm_id) = panel.pair(kb, n);
-                    slices.push((canonical.column_slice(col), reorder.column_slice(perm_id)));
-                }
-                // One pass over the weight rows, reusing all k slices.
-                for m in 0..dims.m {
-                    let row = wcol[m] as usize;
-                    let out = &mut values[m * dims.n + n0..m * dims.n + n1];
-                    for (acc, &(canon_slice, reord_slice)) in out.iter_mut().zip(&slices) {
-                        *acc += canon_slice[reord_slice[row] as usize];
-                    }
-                }
-            }
-        }
+        // The N columns of each K-block go in batches of k groups: their
+        // slice pairs co-reside in WRAM while the weight block streams
+        // once per batch. Borrowing the slices is the functional model of
+        // that stream; its cost is charged analytically.
+        let values = gather_tiles(luts, panel, &wpacked, dims, self.k_slices as usize);
 
         let mut dpu = Dpu::new(self.cfg.clone());
         self.charge(dims, &mut dpu);

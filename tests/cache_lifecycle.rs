@@ -267,7 +267,40 @@ fn garbage_manifest_is_a_typed_error_and_a_working_cold_start() {
         .cache_dir(&dir)
         .build();
     assert!(healed.cache_restore_error().is_none());
-    assert_eq!(healed.lut_cache_stats().entries, 1);
+    // One request's images: a canonical and a reordering image.
+    assert_eq!(healed.lut_cache_stats().entries, 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn version_1_store_falls_back_to_a_cold_start() {
+    // Version 1 stored one (wf, af, p, placement) pair per file with u64
+    // reordering entries; this build reads only version 2 and must say
+    // so with a typed error, then serve cold.
+    let dir = scratch("v1-store");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let mut manifest = b"LCLM".to_vec();
+    manifest.extend_from_slice(&1u16.to_le_bytes());
+    manifest.extend_from_slice(&0u32.to_le_bytes());
+    let checksum = runtime::fnv1a_64(manifest.iter().copied());
+    manifest.extend_from_slice(&checksum.to_le_bytes());
+    std::fs::write(store::manifest_path(&dir), manifest).expect("write v1 manifest");
+
+    let engine = Engine::builder()
+        .threads(1)
+        .banks(2)
+        .cache_dir(&dir)
+        .build();
+    assert!(
+        matches!(
+            engine.cache_restore_error(),
+            Some(StoreError::UnsupportedVersion { version: 1, .. })
+        ),
+        "got {:?}",
+        engine.cache_restore_error()
+    );
+    assert_eq!(engine.lut_cache_stats().entries, 0);
+    assert_eq!(submit(&engine, 0, 1).lut_cache, Some(CacheOutcome::Miss));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -15,7 +15,8 @@ use localut_repro::dnn::{InferenceSim, ModelConfig, Workload};
 use localut_repro::engine::{
     BatchGemmRequest, CacheOutcome, Engine, EngineError, GemmRequest, InferenceRequest, PlanPin,
 };
-use localut_repro::localut::kernels::{RcKernel, StreamingKernel};
+use localut_repro::localut::canonical::CanonicalLut;
+use localut_repro::localut::kernels::{RcKernel, StreamingKernel, MAX_MATERIALIZED_ENTRIES};
 use localut_repro::localut::plan::Placement;
 use localut_repro::localut::{GemmConfig, GemmDims, Method};
 use localut_repro::pim_sim::EnergyModel;
@@ -50,12 +51,62 @@ fn cache_hit_is_bitwise_identical_to_cache_miss() {
         assert_eq!(warm.checksum, cold.checksum);
     }
     let stats = engine.lut_cache_stats();
-    assert_eq!((stats.misses, stats.hits, stats.entries), (1, 2, 1));
+    // One key resident: its canonical and its reordering image.
+    assert_eq!((stats.misses, stats.hits, stats.entries), (1, 2, 2));
 }
 
 /// Engine responses are bit-exact against the legacy hand-wired path:
 /// `GemmConfig::run` for values, `ParallelExecutor::execute_plan` for the
 /// sharded profile/stats/checksum, for every method.
+/// One image per distinct dependency: W1A2 after W1A3 builds only its
+/// canonical image (the reordering image depends on the weight width and
+/// `p` alone), and a streaming and a buffer-resident request at equal
+/// `(wf, af, p)` share both images.
+#[test]
+fn activation_formats_and_placements_share_lut_images() {
+    let engine = Engine::builder().threads(1).banks(2).build();
+    let p = 4;
+    let pinned = |af: NumericFormat, placement| {
+        let w = QMatrix::pseudo_random(16, 24, NumericFormat::Bipolar, 5);
+        let a = QMatrix::pseudo_random(24, 6, af, 6);
+        GemmRequest::new(w, a).with_pin(PlanPin { placement, p })
+    };
+    let w1a3 = pinned(NumericFormat::Int(3), Placement::BufferResident);
+    assert_eq!(
+        engine.submit(&w1a3).unwrap().lut_cache,
+        Some(CacheOutcome::Miss)
+    );
+    let after_a3 = engine.lut_cache_stats();
+    let w1a2 = engine
+        .submit(&pinned(NumericFormat::Int(2), Placement::BufferResident))
+        .unwrap();
+    assert_eq!(w1a2.lut_cache, Some(CacheOutcome::Miss));
+    let after_a2 = engine.lut_cache_stats();
+    let canonical_a2 = CanonicalLut::<i32>::build(
+        NumericFormat::Bipolar,
+        NumericFormat::Int(2),
+        p,
+        MAX_MATERIALIZED_ENTRIES,
+    )
+    .unwrap();
+    assert_eq!(
+        after_a2.resident_bytes - after_a3.resident_bytes,
+        canonical_a2.entry_count() * 4,
+        "W1A2 adds exactly its canonical image"
+    );
+    assert_eq!(after_a2.entries, after_a3.entries + 1);
+
+    let streamed = engine
+        .submit(&pinned(NumericFormat::Int(2), Placement::Streaming))
+        .unwrap();
+    assert_eq!(streamed.lut_cache, Some(CacheOutcome::Hit));
+    assert_eq!(streamed.values, w1a2.values);
+    assert_eq!(
+        engine.lut_cache_stats().resident_bytes,
+        after_a2.resident_bytes
+    );
+}
+
 #[test]
 fn engine_matches_legacy_hand_wired_path_for_all_methods() {
     let engine = Engine::builder().threads(3).banks(4).build();

@@ -6,6 +6,7 @@
 //! executor, all through the public API.
 
 use localut::canonical::CanonicalLut;
+use localut::capacity::{reorder_entry_bytes, reorder_lut_bytes};
 use localut::gemm::{reference_gemm, GemmConfig, GemmDims, Method};
 use localut::kernels::{
     par_run, LcKernel, LtcKernel, NaiveKernel, OpKernel, RcKernel, SharedLuts, StreamingKernel,
@@ -18,9 +19,63 @@ use pim_sim::{Category, CycleLedger, DpuConfig, Stats};
 use proptest::prelude::*;
 use quant::{NumericFormat, QMatrix};
 use runtime::{ParallelExecutor, RankPlan, ShardPlan};
+use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock};
 
 fn qmatrix(rows: usize, cols: usize, format: NumericFormat, seed: u64) -> QMatrix {
     QMatrix::pseudo_random(rows, cols, format, seed)
+}
+
+/// `(weight bits, p)` with `bits·p` in {4, 8, 12, 16, 20}: every
+/// reordering storage width (`u8`, `u16`, `u32`), including the 3-byte
+/// paper width, which is held in `u32`.
+const WIDTH_POINTS: [(u8, u32); 5] = [(1, 4), (2, 4), (4, 3), (8, 2), (10, 2)];
+
+/// Shared images per `(wf, af, p)`, built once per test process.
+fn shared_luts(wf: NumericFormat, af: NumericFormat, p: u32) -> SharedLuts {
+    type Images = Mutex<HashMap<(NumericFormat, NumericFormat, u32), SharedLuts>>;
+    static IMAGES: OnceLock<Images> = OnceLock::new();
+    IMAGES
+        .get_or_init(Images::default)
+        .lock()
+        .unwrap()
+        .entry((wf, af, p))
+        .or_insert_with(|| SharedLuts::build(wf, af, p).unwrap())
+        .clone()
+}
+
+/// The blocked buffer-resident and streaming gathers against shared
+/// images equal the scalar reference, and the images' reordering part is
+/// charged at the paper's width whenever that width is a native one.
+fn blocked_matches_scalar(
+    m: usize,
+    k: usize,
+    n: usize,
+    wf: NumericFormat,
+    af: NumericFormat,
+    p: u32,
+    seed: u64,
+) {
+    let w = qmatrix(m, k, wf, seed);
+    let a = qmatrix(k, n, af, seed.wrapping_add(3));
+    let reference: Vec<i32> = reference_gemm(&w, &a).unwrap();
+    let cfg = DpuConfig::upmem();
+
+    let luts = shared_luts(wf, af, p);
+    let rc = RcKernel::with_p(cfg.clone(), wf, af, p).unwrap();
+    assert_eq!(rc.run_with_luts(&w, &a, &luts).unwrap().values, reference);
+    if let Ok(s) = StreamingKernel::new(cfg, wf, af, p, 2) {
+        assert_eq!(s.run_with_luts(&w, &a, &luts).unwrap().values, reference);
+    }
+    let reorder_part = luts.resident_bytes() - luts.canonical().entry_count() * 4;
+    if matches!(reorder_entry_bytes(wf.bits(), p), 1 | 2 | 4) {
+        assert_eq!(
+            u128::from(reorder_part),
+            reorder_lut_bytes(wf, p).unwrap(),
+            "bits={} p={p}",
+            wf.bits()
+        );
+    }
 }
 
 proptest! {
@@ -66,6 +121,8 @@ proptest! {
     /// full tiles, partial last tiles, and sub-tile shapes all appear, and
     /// the shared-LUT entry point (the path the bank-parallel executor
     /// drives) is exercised directly alongside the self-building `run`.
+    /// Each case also runs every one of [`WIDTH_POINTS`], so every
+    /// reordering storage width (`u8`, `u16`, `u32`) is gathered through.
     #[test]
     fn blocked_kernels_match_scalar_reference(
         m in 1usize..24,
@@ -76,18 +133,11 @@ proptest! {
         p in 1u32..6,
         seed in 0u64..1000,
     ) {
-        let wf = NumericFormat::default_int(bw);
-        let af = NumericFormat::Int(ba);
-        let w = qmatrix(m, k, wf, seed);
-        let a = qmatrix(k, n, af, seed.wrapping_add(3));
-        let reference: Vec<i32> = reference_gemm(&w, &a).unwrap();
-        let cfg = DpuConfig::upmem();
-
-        let luts = SharedLuts::build(wf, af, p).unwrap();
-        let rc = RcKernel::with_p(cfg.clone(), wf, af, p).unwrap();
-        prop_assert_eq!(&rc.run_with_luts(&w, &a, &luts).unwrap().values, &reference);
-        if let Ok(s) = StreamingKernel::new(cfg, wf, af, p, 2) {
-            prop_assert_eq!(&s.run_with_luts(&w, &a, &luts).unwrap().values, &reference);
+        blocked_matches_scalar(m, k, n, NumericFormat::default_int(bw), NumericFormat::Int(ba), p, seed);
+        // The widest point has 2^20-row canonical images, so the width
+        // points pair with 2-bit activations to keep them ~10 M entries.
+        for (bw, p) in WIDTH_POINTS {
+            blocked_matches_scalar(m, k, n, NumericFormat::default_int(bw), NumericFormat::Int(2), p, seed);
         }
     }
 
