@@ -75,8 +75,14 @@ impl PackedCodes {
         let groups = w.cols().div_ceil(p);
         let mut words = vec![0u64; groups * lanes];
         for m in 0..lanes {
-            for (k, &code) in w.row(m).iter().enumerate() {
-                words[(k / p) * lanes + m] |= u64::from(code) << (usize::from(bits) * (k % p));
+            // Shift-accumulate each group from its last code down: code `i`
+            // lands at bit offset `bits · i`, a short last chunk leaves
+            // the high codes 0.
+            for (kb, chunk) in w.row(m).chunks(p).enumerate() {
+                words[kb * lanes + m] = chunk
+                    .iter()
+                    .rev()
+                    .fold(0u64, |acc, &code| (acc << bits) | u64::from(code));
             }
         }
         PackedCodes {
@@ -314,8 +320,17 @@ mod tests {
 
     #[test]
     fn weight_rows_match_per_group_packing() {
-        for (m, k, p, bits) in [(4usize, 11usize, 3usize, 2u8), (3, 12, 4, 1), (1, 5, 5, 3)] {
-            let w = QMatrix::pseudo_random(m, k, NumericFormat::Int(bits), 99);
+        let int = NumericFormat::Int;
+        for (m, k, p, wf) in [
+            (4usize, 11usize, 3usize, int(2)),
+            (3, 12, 4, int(1)),
+            (1, 5, 5, int(3)),
+            (2, 7, 1, int(3)),
+            // The paper's W1A3 shape: bipolar weights at p = 8, ragged K.
+            (5, 21, 8, NumericFormat::Bipolar),
+        ] {
+            let bits = wf.bits();
+            let w = QMatrix::pseudo_random(m, k, wf, 99);
             let packed = PackedCodes::pack_weight_rows(&w, p);
             assert_eq!((packed.groups(), packed.lanes()), (k.div_ceil(p), m));
             for mm in 0..m {

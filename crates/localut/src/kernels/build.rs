@@ -1,10 +1,10 @@
 //! Method-to-kernel construction — the single place a [`Method`] is
 //! matched to a concrete [`LutKernel`] implementor.
 //!
-//! Everything above this point (the engine, the runtime executor,
-//! [`super::par_run`]) dispatches through the trait; only construction
-//! needs to know which struct realizes which design point, and that match
-//! lives here exactly once.
+//! Everything above this point (the engine, the runtime executor)
+//! dispatches through the trait; only construction needs to know which
+//! struct realizes which design point, and that match lives here exactly
+//! once.
 
 use super::{BankKernel, LcKernel, LtcKernel, NaiveKernel, OpKernel, RcKernel, SharedLuts};
 use crate::gemm::{GemmConfig, GemmDims, Method};

@@ -20,10 +20,9 @@
 //! All six arms implement one object-safe [`LutKernel`] trait — the single
 //! dispatch surface every layer above uses. [`BankKernel`] is the
 //! method-erased construct-once handle (an `Arc<dyn LutKernel>` plus the
-//! optional [`SharedLuts`] images) that bank-parallel workers clone;
-//! [`par_run`] is the multi-threaded entry point (sharded across host
-//! threads; see the `runtime` crate for the full executor with per-bank
-//! profiles). Method-to-kernel construction lives in one place
+//! optional [`SharedLuts`] images) that bank-parallel workers clone (the
+//! `runtime` crate's executor is the one multi-threaded entry point).
+//! Method-to-kernel construction lives in one place
 //! ([`BankKernel::build`] and friends, in the `build` submodule) — there is
 //! deliberately no per-method `match` anywhere else in this module.
 
@@ -44,7 +43,7 @@ pub use streaming::StreamingKernel;
 
 use crate::canonical::CanonicalLut;
 use crate::codes::{ActivationPanel, PackedCodes};
-use crate::gemm::{GemmConfig, GemmDims, GemmResult, Method};
+use crate::gemm::{GemmDims, GemmResult, Method};
 use crate::reorder::{ReorderLut, ReorderWord, Storage};
 use crate::LocaLutError;
 use pim_sim::{Category, Dpu, Profile};
@@ -103,23 +102,32 @@ pub(crate) fn charge_output(dpu: &mut Dpu, dims: GemmDims) {
     dpu.charge_dram_writeback(dims.output_bytes(), Category::OutputWriteback);
 }
 
-/// Validates that an [`ActivationPanel`]'s packed shape matches the
-/// operands a `run_with_panel` call is about to consume it with.
-pub(crate) fn check_panel(
+/// Validates that the two bands a `run_with_panel` call consumes — the
+/// column band's [`ActivationPanel`] and the row band's packed weights,
+/// both prepared outside the kernel — have the packed shape of the
+/// operands `dims` at packing degree `p`.
+pub(crate) fn check_bands(
     panel: &ActivationPanel,
-    abits: u8,
+    weights: &PackedCodes,
+    (wbits, abits): (u8, u8),
     p: usize,
-    kblocks: usize,
-    n: usize,
+    dims: GemmDims,
 ) -> Result<(), LocaLutError> {
-    let packed = panel.packed();
-    if packed.bits() != abits
-        || packed.p() != p
-        || packed.groups() != kblocks
-        || packed.lanes() != n
-    {
+    let groups = dims.k.div_ceil(p);
+    let fits = |packed: &PackedCodes, bits: u8, lanes: usize| {
+        packed.bits() == bits
+            && packed.p() == p
+            && packed.groups() == groups
+            && packed.lanes() == lanes
+    };
+    if !fits(panel.packed(), abits, dims.n) {
         return Err(LocaLutError::UnsupportedFormat(
             "activation panel shape does not match the operands",
+        ));
+    }
+    if !fits(weights, wbits, dims.m) {
+        return Err(LocaLutError::UnsupportedFormat(
+            "packed weight band shape does not match the operands",
         ));
     }
     Ok(())
@@ -195,9 +203,9 @@ fn gather_typed<T: ReorderWord>(
 /// ([`validate`](LutKernel::validate)), and execute
 /// ([`run`](LutKernel::run) /
 /// [`run_with_luts`](LutKernel::run_with_luts)). The trait is object-safe:
-/// [`BankKernel`], `kernels::par_run`, the `runtime` executor, and the
-/// engine all dispatch through `dyn LutKernel`, so a new design point
-/// plugs in by implementing this trait — no dispatch site changes.
+/// [`BankKernel`], the `runtime` executor, and the engine all dispatch
+/// through `dyn LutKernel`, so a new design point plugs in by implementing
+/// this trait — no dispatch site changes.
 ///
 /// The functional/timed contract holds for every implementor:
 /// `run(w, a)?.profile == cost(GemmDims::of(w, a)?)` exactly, and
@@ -268,26 +276,32 @@ pub trait LutKernel: std::fmt::Debug + Send + Sync {
         Ok(None)
     }
 
-    /// Runs against an activation panel previously resolved **from the
-    /// same activation operand** by [`LutKernel::resolve_panel`] — the
-    /// panel is trusted as `a`'s resolution (shapes are validated; values
-    /// are the caller's contract). Bitwise identical to
+    /// Runs against both shard-invariant bands: an activation panel
+    /// previously resolved **from the same activation operand** by
+    /// [`LutKernel::resolve_panel`], and `weights`, the weight operand
+    /// packed at the kernel's degree
+    /// (`PackedCodes::pack_weight_rows(w, p)`) — the row-band twin a
+    /// bank-parallel executor packs once per weight row band. Both are
+    /// trusted as the operands' packing (shapes are validated; values are
+    /// the caller's contract). Bitwise identical to
     /// [`LutKernel::run_with_luts`] in values and profile. The default
-    /// ignores the panel and runs `run_with_luts`.
+    /// ignores both bands and runs `run_with_luts`.
     ///
     /// # Errors
     ///
     /// As [`LutKernel::run_with_luts`], plus
-    /// [`LocaLutError::UnsupportedFormat`] when the panel's shape does not
-    /// match the operands.
+    /// [`LocaLutError::UnsupportedFormat`] when the panel's or the weight
+    /// band's packed shape (bits, `p`, groups, lanes) does not match the
+    /// operands.
     fn run_with_panel(
         &self,
         w: &QMatrix,
         a: &QMatrix,
         luts: &SharedLuts,
         panel: &ActivationPanel,
+        weights: &PackedCodes,
     ) -> Result<GemmResult, LocaLutError> {
-        let _ = panel;
+        let _ = (panel, weights);
         self.run_with_luts(w, a, luts)
     }
 }
@@ -557,119 +571,62 @@ impl BankKernel {
         }
     }
 
-    /// Runs one tile against a panel resolved from the same activation
-    /// tile by [`BankKernel::resolve_panel`]; falls back to
-    /// [`BankKernel::run`] when `panel` is `None`. Bitwise identical to
-    /// `run` in values and profile.
+    /// Packs a weight row band once for every shard in it — the row-band
+    /// twin of [`BankKernel::resolve_panel`]: `None` when no shared images
+    /// are attached (the kernel then runs without bands).
+    #[must_use]
+    pub fn pack_weights(&self, w: &QMatrix) -> Option<PackedCodes> {
+        self.luts
+            .as_ref()
+            .map(|_| PackedCodes::pack_weight_rows(w, self.p() as usize))
+    }
+
+    /// Runs one shard against its row band's packed weights (from
+    /// [`BankKernel::pack_weights`]) and its column band's panel (from
+    /// [`BankKernel::resolve_panel`]); falls back to [`BankKernel::run`]
+    /// when either band is `None`. Bitwise identical to `run` in values
+    /// and profile.
     ///
     /// # Errors
     ///
-    /// Shape, format, or padding errors.
+    /// Shape, format, or padding errors;
+    /// [`LocaLutError::UnsupportedFormat`] when a band's packed shape does
+    /// not match the operands.
+    pub fn run_bands(
+        &self,
+        w: &QMatrix,
+        a: &QMatrix,
+        weights: Option<&PackedCodes>,
+        panel: Option<&ActivationPanel>,
+    ) -> Result<GemmResult, LocaLutError> {
+        match (&self.luts, weights, panel) {
+            (Some(luts), Some(weights), Some(panel)) => {
+                self.kernel.run_with_panel(w, a, luts, panel, weights)
+            }
+            _ => self.run(w, a),
+        }
+    }
+
+    /// [`BankKernel::run_bands`] with the weight band packed for this one
+    /// call — for callers that run a tile once, with no row band to share.
+    ///
+    /// # Errors
+    ///
+    /// As [`BankKernel::run_bands`].
     pub fn run_panel(
         &self,
         w: &QMatrix,
         a: &QMatrix,
         panel: Option<&ActivationPanel>,
     ) -> Result<GemmResult, LocaLutError> {
-        match (&self.luts, panel) {
-            (Some(luts), Some(panel)) => self.kernel.run_with_panel(w, a, luts, panel),
-            _ => self.run(w, a),
-        }
+        self.run_bands(w, a, self.pack_weights(w).as_ref(), panel)
     }
-}
-
-/// Multi-threaded functional GEMM: the parallel twin of [`GemmConfig::run`].
-///
-/// The activation matrix is split into `threads` contiguous column chunks;
-/// scoped worker threads each run one chunk through a shared [`BankKernel`]
-/// (one LUT build, zero copies of the LUT images) and the outputs are
-/// scattered back into place. Because every kernel is bit-exact and its
-/// profile is data-independent (`run().profile == cost(dims)`), the result
-/// is **bit-identical** to the serial path in both values and profile, for
-/// any thread count.
-///
-/// This parallelizes the *wall-clock* execution of the functional
-/// simulation on the host; for the simulated bank-parallel timing model
-/// (per-bank profiles, associative stats merging) use the `runtime` crate's
-/// `ParallelExecutor`, which builds on the same [`BankKernel`].
-///
-/// # Errors
-///
-/// Shape, format, budget, or planning errors (see [`LocaLutError`]).
-///
-/// # Panics
-///
-/// Panics if a worker thread panics (kernel internals do not panic on
-/// validated inputs).
-///
-/// # Examples
-///
-/// ```
-/// use localut::gemm::{GemmConfig, Method};
-/// use localut::kernels::par_run;
-/// use quant::{NumericFormat, Quantizer};
-///
-/// let wq = Quantizer::symmetric(NumericFormat::Int(2));
-/// let aq = Quantizer::symmetric(NumericFormat::Int(3));
-/// let w = wq.quantize_matrix(&[1.0, -1.0, 0.5, -0.5, 1.0, 0.0], 2, 3)?;
-/// let a = aq.quantize_matrix(&[3.0, -3.0, 1.0, 0.0, -2.0, 2.0], 3, 2)?;
-///
-/// let cfg = GemmConfig::upmem();
-/// let serial = cfg.run(Method::LoCaLut, &w, &a)?;
-/// let parallel = par_run(&cfg, Method::LoCaLut, &w, &a, 2)?;
-/// assert_eq!(parallel.values, serial.values);
-/// assert_eq!(parallel.profile, serial.profile);
-/// # Ok::<(), localut::LocaLutError>(())
-/// ```
-pub fn par_run(
-    cfg: &GemmConfig,
-    method: Method,
-    w: &QMatrix,
-    a: &QMatrix,
-    threads: usize,
-) -> Result<GemmResult, LocaLutError> {
-    let dims = GemmDims::of(w, a)?;
-    let bank = BankKernel::build(cfg, method, w.format(), a.format(), dims)?;
-    let threads = threads.clamp(1, dims.n.max(1));
-    if threads == 1 {
-        return bank.run(w, a);
-    }
-    let chunk = dims.n.div_ceil(threads);
-    let tiles: Vec<(usize, GemmResult)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| (t * chunk, dims.n.min((t + 1) * chunk)))
-            .filter(|(n0, n1)| n0 < n1)
-            .map(|(n0, n1)| {
-                let bank = &bank;
-                scope.spawn(move || {
-                    let tile = a.submatrix(0..dims.k, n0..n1);
-                    bank.run(w, &tile).map(|r| (n0, r))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("par_run worker panicked"))
-            .collect::<Result<_, _>>()
-    })?;
-    let mut values = vec![0i32; dims.m * dims.n];
-    for (n0, tile) in &tiles {
-        for m in 0..dims.m {
-            let src = &tile.values[m * tile.dims.n..(m + 1) * tile.dims.n];
-            values[m * dims.n + n0..m * dims.n + n0 + tile.dims.n].copy_from_slice(src);
-        }
-    }
-    Ok(GemmResult {
-        values,
-        dims,
-        // Data-independent profiles make the serial cost twin exact.
-        profile: bank.cost(dims),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::GemmConfig;
     use quant::Quantizer;
 
     #[test]
@@ -789,29 +746,5 @@ mod tests {
         let dims = erased.validate(&w, &a).unwrap();
         let out = erased.run(&w, &a).unwrap();
         assert_eq!(out.profile, erased.cost(dims));
-    }
-
-    #[test]
-    fn par_run_is_bit_identical_to_serial_for_all_methods() {
-        let (w, a) = operands(6, 12, 5);
-        let cfg = GemmConfig::upmem();
-        for method in Method::ALL {
-            let serial = cfg.run(method, &w, &a).unwrap();
-            for threads in [1usize, 2, 3, 8] {
-                let par = par_run(&cfg, method, &w, &a, threads).unwrap();
-                assert_eq!(par.values, serial.values, "{method} values @{threads}");
-                assert_eq!(par.profile, serial.profile, "{method} profile @{threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn par_run_handles_more_threads_than_columns() {
-        let (w, a) = operands(3, 8, 2);
-        let cfg = GemmConfig::upmem();
-        let serial = cfg.run(Method::OpLcRc, &w, &a).unwrap();
-        let par = par_run(&cfg, Method::OpLcRc, &w, &a, 64).unwrap();
-        assert_eq!(par.values, serial.values);
-        assert_eq!(par.profile, serial.profile);
     }
 }

@@ -11,7 +11,7 @@ use crate::capacity::{localut_bytes, max_p_localut};
 use crate::codes::{ActivationPanel, PackedCodes};
 use crate::gemm::{GemmDims, GemmResult, Method};
 use crate::kernels::{
-    charge_operand_input, charge_output, check_panel, gather_tiles, pad_code_for, require_integer,
+    charge_operand_input, charge_output, check_bands, gather_tiles, pad_code_for, require_integer,
     LutKernel, SharedLuts, N_TILE,
 };
 use crate::LocaLutError;
@@ -162,43 +162,41 @@ impl RcKernel {
         let dims = self.validate_operands(w, a)?;
         let pad = pad_code_for(self.af, dims.k, self.p as usize)?;
         let panel = ActivationPanel::resolve(a, self.p as usize, pad, luts.canonical())?;
-        self.run_with_panel(w, a, luts, &panel)
+        let weights = PackedCodes::pack_weight_rows(w, self.p as usize);
+        self.run_with_panel(w, a, luts, &panel, &weights)
     }
 
-    /// Runs against a pre-resolved [`ActivationPanel`] (see
-    /// [`LutKernel::run_with_panel`]) — the path row-sharded banks take so
-    /// the activation-side group resolution happens once per column band
+    /// Runs against a pre-resolved [`ActivationPanel`] and prepacked
+    /// weights (see [`LutKernel::run_with_panel`]) — the path banks of a
+    /// sharded GEMM take, so the activation-side group resolution happens
+    /// once per column band and the weight packing once per row band
     /// instead of once per bank.
     ///
     /// # Errors
     ///
     /// As [`RcKernel::run_with_luts`], plus
-    /// [`LocaLutError::UnsupportedFormat`] when the panel's shape does not
-    /// match the operands.
+    /// [`LocaLutError::UnsupportedFormat`] when the panel's or the weight
+    /// band's packed shape does not match the operands.
     pub fn run_with_panel(
         &self,
         w: &QMatrix,
         a: &QMatrix,
         luts: &SharedLuts,
         panel: &ActivationPanel,
+        weights: &PackedCodes,
     ) -> Result<GemmResult, LocaLutError> {
         luts.check(self.wf, self.af, self.p)?;
         let dims = self.validate_operands(w, a)?;
         let p = self.p as usize;
         let pad = pad_code_for(self.af, dims.k, p)?;
-        let kblocks = dims.k.div_ceil(p);
-        check_panel(panel, self.af.bits(), p, kblocks, dims.n)?;
+        check_bands(panel, weights, (self.wf.bits(), self.af.bits()), p, dims)?;
         debug_assert_eq!(
             panel.packed(),
             &PackedCodes::pack_activation_columns(a, p, pad),
             "activation panel resolved from a different operand"
         );
 
-        // Pack the weight rows once: the packed row of group (m, kb) is
-        // reused across every output column.
-        let wpacked = PackedCodes::pack_weight_rows(w, p);
-
-        let values = gather_tiles(luts, panel, &wpacked, dims, N_TILE);
+        let values = gather_tiles(luts, panel, weights, dims, N_TILE);
 
         let mut dpu = Dpu::new(self.cfg.clone());
         self.charge(dims, &mut dpu);
@@ -257,8 +255,9 @@ impl LutKernel for RcKernel {
         a: &QMatrix,
         luts: &SharedLuts,
         panel: &ActivationPanel,
+        weights: &PackedCodes,
     ) -> Result<GemmResult, LocaLutError> {
-        RcKernel::run_with_panel(self, w, a, luts, panel)
+        RcKernel::run_with_panel(self, w, a, luts, panel, weights)
     }
 }
 

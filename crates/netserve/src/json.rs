@@ -229,11 +229,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// A human-readable message with the byte offset of the first problem.
+    /// A human-readable message with the byte offset of the first problem,
+    /// including arrays/objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -263,9 +265,17 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded document (`[[[[…`, well
+/// within a frame's size cap) would overflow a connection thread's stack
+/// and abort the whole process; past this cap it returns an error
+/// instead. Every report and wire document nests a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -307,8 +317,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(format!(
                 "unexpected '{}' at byte {}",
@@ -317,6 +327,19 @@ impl Parser<'_> {
             )),
             None => Err("unexpected end of input".to_owned()),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -570,6 +593,14 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted: {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
     }
 
     #[test]

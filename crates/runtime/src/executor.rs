@@ -8,25 +8,38 @@
 //! [`BankKernel`]'s internal `Arc`s (one build, N readers, as the §V-A
 //! broadcast works on hardware). All kernel dispatch goes through the
 //! `localut::kernels::LutKernel` trait object the `BankKernel` wraps; the
-//! executor never matches on a method. Before fanning out, it resolves one
-//! `localut::codes::ActivationPanel` per activation column band through
-//! the trait's `resolve_panel` hook, so row-sharded banks of a band share
-//! the activation-side group resolution instead of each redoing it
-//! (bitwise-identical results, DESIGN.md §12).
+//! executor never matches on a method.
+//!
+//! Before fanning out, it prepares the work that does not vary across the
+//! shards of a band, inline on the calling thread: one
+//! `localut::codes::ActivationPanel` per activation column band (through
+//! [`BankKernel::resolve_panel`]) and one packed weight band per weight
+//! row band (through [`BankKernel::pack_weights`]). Every shard then runs
+//! against its two bands ([`BankKernel::run_bands`]) instead of redoing
+//! the activation-side group resolution and the weight bit-packing per
+//! bank (bitwise-identical results, DESIGN.md §12).
+//!
+//! Shards execute **column-band-major**: sorted by (column band, row
+//! band), so the row shards of one column band run back to back while its
+//! LUT column pairs — the slice pairs §IV-C streams once and reuses across
+//! every weight row — are still hot in cache. Shard ids, the plan and its
+//! rank assignment are untouched; only the order items reach the pool
+//! changes.
 //!
 //! Scheduling is work stealing: each worker owns a deque seeded with a
-//! contiguous block of shard ids, drains it from the front, and — once
-//! empty — steals the back half of a sibling's deque in one chunk of
-//! whole bank-shards, so ragged tile grids (2048-shard plans have edge
-//! tiles) cannot serialize the tail behind one worker.
+//! contiguous block of that execution order, drains it from the front,
+//! and — once empty — steals the back half of a sibling's deque in one
+//! chunk of whole bank-shards, so ragged tile grids (2048-shard plans have
+//! edge tiles) cannot serialize the tail behind one worker.
 //!
 //! Determinism: results are keyed by shard id wherever they are produced,
-//! and both the value scatter and every ledger fold run in ascending
-//! shard id order after the pool joins — for ranked plans as a per-rank
-//! merge tree whose exact associativity makes it equal to the flat fold.
-//! Thread scheduling and steal timing therefore cannot change any output
-//! bit, and the 1-thread execution of the same plan is bitwise identical
-//! to the N-thread one.
+//! and the value scatter, every ledger fold, the rank merge tree and the
+//! link phase run in ascending shard id order after the pool joins — for
+//! ranked plans as a per-rank merge tree whose exact associativity makes
+//! it equal to the flat fold. Neither the execution order nor thread
+//! scheduling and steal timing can therefore change any output bit, and
+//! the 1-thread execution of the same plan is bitwise identical to the
+//! N-thread one.
 
 use crate::shard::{Shard, ShardPlan};
 use localut::gemm::{GemmConfig, GemmDims};
@@ -268,9 +281,9 @@ impl ParallelExecutor {
         self.execute_plan(&plan, method, w, a)
     }
 
-    /// Executes `method` over an explicit shard plan; shards are dealt to
-    /// the workers round-robin, so a plan may model many more banks than
-    /// there are host threads.
+    /// Executes `method` over an explicit shard plan; shards are spread
+    /// over the workers by work stealing, so a plan may model many more
+    /// banks than there are host threads.
     ///
     /// # Errors
     ///
@@ -324,7 +337,7 @@ impl ParallelExecutor {
         // instead of re-sliced per shard.
         let mut row_bands: Vec<(Range<usize>, QMatrix)> = Vec::new();
         let mut col_bands: Vec<(Range<usize>, QMatrix)> = Vec::new();
-        let shards: Vec<(&Shard, usize, usize)> = plan
+        let shards: Vec<(usize, usize)> = plan
             .shards()
             .iter()
             .map(|shard| {
@@ -348,24 +361,48 @@ impl ParallelExecutor {
                         ));
                         col_bands.len() - 1
                     });
-                (shard, row, col)
+                (row, col)
             })
             .collect();
 
-        // Resolve one activation panel per column band: every row shard in
-        // a band consumes the same activation columns, so the per-group
-        // canonicalization (unpack → sort → rank) runs once per band here
-        // instead of once per bank inside the kernel. Kernels without a
-        // panel form return `None` and run unchanged; results are bitwise
-        // identical either way.
+        // Prepare both shard-invariant bands once, inline: one activation
+        // panel per column band (the per-group canonicalization — unpack
+        // → sort → rank — every row shard of the band would redo) and one
+        // packed weight band per row band (the bit-packing every column
+        // shard of the band would redo). Kernels without a band form get
+        // `None` and run unchanged; results are bitwise identical either
+        // way.
         let panels = col_bands
             .iter()
             .map(|(_, a_tile)| bank.resolve_panel(a_tile))
             .collect::<Result<Vec<_>, _>>()?;
+        let weights: Vec<_> = row_bands
+            .iter()
+            .map(|(_, w_tile)| bank.pack_weights(w_tile))
+            .collect();
 
-        let results = self.map(&shards, |&(_, row, col)| {
-            bank.run_panel(&row_bands[row].1, &col_bands[col].1, panels[col].as_ref())
+        // Run column-band-major: the row shards of one column band run
+        // back to back, so its LUT column pairs stay hot in cache across
+        // every row band instead of going cold between shards. Only the
+        // execution order changes: `slot[id]` finds shard `id`'s result,
+        // and everything below still walks ascending shard id.
+        let mut order: Vec<usize> = (0..shards.len()).collect();
+        order.sort_by_key(|&id| (shards[id].1, shards[id].0));
+        let mut results = self.map(&order, |&id| {
+            let (row, col) = shards[id];
+            Some(bank.run_bands(
+                &row_bands[row].1,
+                &col_bands[col].1,
+                weights[row].as_ref(),
+                panels[col].as_ref(),
+            ))
         });
+        // The merge below allocates the outputs; free the bands first.
+        drop((weights, panels, row_bands, col_bands));
+        let mut slot = vec![0; order.len()];
+        for (pos, &id) in order.iter().enumerate() {
+            slot[id] = pos;
+        }
 
         // Deterministic merge, ascending shard id. The profile fold
         // accumulates one mutable ledger by reference — at 2048 shards,
@@ -374,8 +411,8 @@ impl ParallelExecutor {
         let mut values = vec![0i32; dims.m * dims.n];
         let mut per_bank = Vec::with_capacity(plan.len());
         let mut work = CycleLedger::new();
-        for (shard, result) in plan.shards().iter().zip(results) {
-            let tile = result?;
+        for (shard, &pos) in plan.shards().iter().zip(&slot) {
+            let tile = results[pos].take().expect("every shard ran once")?;
             let tile_n = shard.cols.len();
             for (i, r) in shard.rows.clone().enumerate() {
                 let dst = r * dims.n + shard.cols.start;
@@ -552,15 +589,174 @@ mod tests {
     }
 
     #[test]
-    fn execute_matches_serial_for_all_methods() {
-        let (w, a) = operands(8, 12, 6, 42);
+    fn execute_is_bit_identical_to_serial_for_all_methods() {
+        let (w, a) = operands(6, 12, 5, 42);
+        let dims = GemmDims::of(&w, &a).unwrap();
         let cfg = GemmConfig::upmem();
+        let one_bank = ShardPlan::for_banks(dims, 1);
         for method in Method::ALL {
             let serial = cfg.run(method, &w, &a).unwrap();
-            let par = ParallelExecutor::new(4).execute(method, &w, &a).unwrap();
-            assert_eq!(par.values, serial.values, "{method}");
-            assert!(par.per_bank.len() <= 4);
-            assert!(par.stats.banks() as usize == par.per_bank.len());
+            for threads in [1usize, 2, 3, 8] {
+                let pool = ParallelExecutor::new(threads);
+                let par = pool.execute(method, &w, &a).unwrap();
+                assert_eq!(par.values, serial.values, "{method} values @{threads}");
+                assert!(par.per_bank.len() <= threads);
+                assert_eq!(par.stats.banks() as usize, par.per_bank.len());
+                // A multi-bank profile folds the banks' tiles, bitwise the
+                // same fold on one worker; a one-bank plan is the serial
+                // run's profile exactly, on any worker count.
+                let plan = ShardPlan::for_banks(dims, threads as u32);
+                let one = ParallelExecutor::new(1).execute_plan(&plan, method, &w, &a);
+                assert_eq!(par, one.unwrap(), "{method} @{threads}");
+                let whole = pool.execute_plan(&one_bank, method, &w, &a).unwrap();
+                assert_eq!(whole.values, serial.values, "{method} @{threads}");
+                assert_eq!(whole.profile, serial.profile, "{method} @{threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn execute_handles_more_threads_than_columns() {
+        let (w, a) = operands(3, 8, 2, 9);
+        let dims = GemmDims::of(&w, &a).unwrap();
+        let serial = GemmConfig::upmem().run(Method::OpLcRc, &w, &a).unwrap();
+        let pool = ParallelExecutor::new(64);
+        let par = pool.execute(Method::OpLcRc, &w, &a).unwrap();
+        assert_eq!(par.values, serial.values);
+        let whole = pool
+            .execute_plan(&ShardPlan::for_banks(dims, 1), Method::OpLcRc, &w, &a)
+            .unwrap();
+        assert_eq!(whole.profile, serial.profile);
+    }
+
+    /// The executor's result when every shard runs alone through
+    /// [`BankKernel::run`] on its own tile: no bands, no execution order,
+    /// the ranked merge spelled out.
+    fn per_shard_oracle(
+        pool: &ParallelExecutor,
+        plan: &ShardPlan,
+        bank: &BankKernel,
+        w: &QMatrix,
+        a: &QMatrix,
+    ) -> ParallelGemm {
+        let dims = plan.dims();
+        let mut values = vec![0i32; dims.m * dims.n];
+        let mut per_bank = Vec::new();
+        let mut work = CycleLedger::new();
+        for shard in plan.shards() {
+            let tile = bank
+                .run(
+                    &w.submatrix(shard.rows.clone(), 0..dims.k),
+                    &a.submatrix(0..dims.k, shard.cols.clone()),
+                )
+                .unwrap();
+            for (i, r) in shard.rows.clone().enumerate() {
+                for (j, c) in shard.cols.clone().enumerate() {
+                    values[r * dims.n + c] = tile.values[i * shard.cols.len() + j];
+                }
+            }
+            work.merge(tile.profile.ledger());
+            per_bank.push(BankResult {
+                shard: shard.clone(),
+                profile: tile.profile,
+            });
+        }
+        let rank_stats: Vec<Stats> = plan
+            .rank_plan()
+            .unwrap()
+            .assignments()
+            .iter()
+            .map(|owned| {
+                let mut rank = Stats::default();
+                for b in &per_bank[owned.clone()] {
+                    rank.merge(&Stats::from_profile(&b.profile));
+                }
+                rank
+            })
+            .collect();
+        let bytes: Vec<u64> = rank_stats
+            .iter()
+            .map(|r| (r.dram_read_bytes + r.dram_write_bytes) as u64)
+            .collect();
+        let link = pool.system().rank_link_profile(&bytes);
+        let mut stats = Stats::default();
+        for rank in &rank_stats {
+            stats.merge(rank);
+        }
+        stats.merge(&Stats::from_phase_ledger(link.ledger()));
+        ParallelGemm {
+            values,
+            dims,
+            per_bank,
+            profile: Profile::from_ledger(work),
+            stats,
+            rank_stats,
+            link_phase: Some(link),
+        }
+    }
+
+    #[test]
+    fn banded_column_major_run_equals_per_shard_runs() {
+        let (w, a) = operands(13, 20, 3, 5);
+        let dims = GemmDims::of(&w, &a).unwrap();
+        let plan = ShardPlan::for_ranks(dims, 3, 4);
+        // The plan must exercise what the bands and the reordering touch:
+        // several row and column bands, a ragged edge tile (the §V-B grid
+        // splits columns first, so with several row bands the ragged
+        // edge is a row band), several ranks.
+        let distinct = |f: fn(&Shard) -> Range<usize>| {
+            let mut bands: Vec<_> = plan.shards().iter().map(f).collect();
+            bands.sort_by_key(|r| r.start);
+            bands.dedup();
+            bands
+        };
+        let (rows, cols) = (distinct(|s| s.rows.clone()), distinct(|s| s.cols.clone()));
+        assert!(rows.len() > 1 && cols.len() > 1, "{rows:?} × {cols:?}");
+        assert!(rows.iter().any(|r| r.len() != rows[0].len()), "{rows:?}");
+        assert!(plan.rank_plan().unwrap().populated() > 1);
+
+        for method in [Method::NaivePim, Method::OpLcRc, Method::LoCaLut] {
+            let bank =
+                BankKernel::build(&GemmConfig::upmem(), method, w.format(), a.format(), dims)
+                    .unwrap();
+            let expect = per_shard_oracle(&ParallelExecutor::new(1), &plan, &bank, &w, &a);
+            for threads in [1usize, 2, 5] {
+                let par = ParallelExecutor::new(threads)
+                    .execute_plan_with(&plan, &bank, &w, &a)
+                    .unwrap();
+                assert_eq!(par, expect, "{method} @{threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn mispacked_weight_band_is_a_typed_error() {
+        use localut::codes::PackedCodes;
+        let (w, a) = operands(8, 12, 6, 42);
+        let dims = GemmDims::of(&w, &a).unwrap();
+        for method in [Method::OpLcRc, Method::LoCaLut] {
+            let bank =
+                BankKernel::build(&GemmConfig::upmem(), method, w.format(), a.format(), dims)
+                    .unwrap();
+            let panel = bank.resolve_panel(&a).unwrap();
+            assert!(panel.is_some(), "{method} has a panel form");
+            let good = bank.pack_weights(&w).unwrap();
+            assert_eq!(
+                bank.run_bands(&w, &a, Some(&good), panel.as_ref()).unwrap(),
+                bank.run(&w, &a).unwrap()
+            );
+            let p = bank.p() as usize;
+            let wrong_p = PackedCodes::pack_weight_rows(&w, p + 1);
+            let wrong_lanes = PackedCodes::pack_weight_rows(&w.submatrix(0..7, 0..12), p);
+            for bad in [wrong_p, wrong_lanes] {
+                assert!(
+                    matches!(
+                        bank.run_bands(&w, &a, Some(&bad), panel.as_ref()),
+                        Err(LocaLutError::UnsupportedFormat(_))
+                    ),
+                    "{method}"
+                );
+            }
         }
     }
 

@@ -8,12 +8,14 @@
 //! kernel invocation performs is a small constant independent of how many
 //! groups the operands decompose into. This test pins that with a counting
 //! global allocator: scaling the group count ~24× must not change the
-//! allocation count beyond a small constant slack.
+//! allocation count beyond a small constant slack, and a shard run against
+//! a prepacked weight band must allocate strictly less than one that packs
+//! its own weights.
 //!
 //! Kept as its own integration-test binary so no concurrent test thread
 //! pollutes the counter.
 
-use localut::codes::ActivationPanel;
+use localut::codes::{ActivationPanel, PackedCodes};
 use localut::kernels::{SharedLuts, StreamingKernel};
 use pim_sim::DpuConfig;
 use quant::{NumericFormat, QMatrix};
@@ -97,18 +99,34 @@ fn kernel_allocations_do_not_scale_with_group_count() {
     );
 
     // The shard path — panel resolved once, consumed by `run_with_panel` —
-    // must hold the same flat budget per bank invocation.
+    // must hold the same flat budget per bank invocation, packing its
+    // weights per call.
     let pad = 0u16;
     let panel = ActivationPanel::resolve(&large.1, p as usize, pad, luts.canonical())
         .expect("panel resolves");
     let count_panel_run = allocs_during(|| {
+        let weights = PackedCodes::pack_weight_rows(&large.0, p as usize);
         kernel
-            .run_with_panel(&large.0, &large.1, &luts, &panel)
+            .run_with_panel(&large.0, &large.1, &luts, &panel, &weights)
             .expect("panel GEMM runs");
     });
     assert!(
         count_panel_run <= count_large,
         "run_with_panel ({count_panel_run} allocations) must not exceed the \
          self-resolving path ({count_large})"
+    );
+
+    // With the weight band packed once per row band, the shard itself no
+    // longer allocates a weight buffer.
+    let weights = PackedCodes::pack_weight_rows(&large.0, p as usize);
+    let count_prepacked = allocs_during(|| {
+        kernel
+            .run_with_panel(&large.0, &large.1, &luts, &panel, &weights)
+            .expect("prepacked GEMM runs");
+    });
+    assert!(
+        count_prepacked < count_panel_run,
+        "a prepacked weight band ({count_prepacked} allocations) must allocate \
+         strictly less than packing per call ({count_panel_run})"
     );
 }

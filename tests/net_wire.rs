@@ -112,6 +112,37 @@ fn garbage_payload_gets_a_typed_error_response() {
 }
 
 #[test]
+fn deeply_nested_payload_is_a_typed_error_and_the_next_client_is_served() {
+    // A megabyte of `[` is far under the frame cap; a recursive parser
+    // without a depth limit overflows the connection thread's stack on it
+    // and aborts the whole daemon.
+    let deep = "[".repeat(1_000_000);
+    assert!(matches!(
+        wire::decode_request(deep.as_bytes()),
+        Err(engine::NetError::Decode(_))
+    ));
+    let server = start(&serve_config(), &NetConfig::default());
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    frame::write_frame(&mut stream, deep.as_bytes()).expect("write");
+    match recv_raw(&mut stream) {
+        Some(WireResponse::Error { kind, message }) => {
+            assert_eq!(kind, "Net");
+            assert!(message.contains("nesting"), "{message}");
+        }
+        other => panic!("expected a typed error, got {other:?}"),
+    }
+    assert!(recv_raw(&mut stream).is_none(), "server closes afterwards");
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    client
+        .gemm(&small_gemm())
+        .expect("the next client is served");
+    drop(client);
+    let report = server.join();
+    assert_eq!(report.protocol_errors, 1);
+    assert_eq!(report.serve.summary.requests, 1);
+}
+
+#[test]
 fn quota_exhaustion_is_typed_and_does_not_count_executed() {
     let serve = ServeConfig::builder()
         .workers(1)

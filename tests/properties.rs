@@ -9,7 +9,7 @@ use localut::canonical::CanonicalLut;
 use localut::capacity::{reorder_entry_bytes, reorder_lut_bytes};
 use localut::gemm::{reference_gemm, GemmConfig, GemmDims, Method};
 use localut::kernels::{
-    par_run, LcKernel, LtcKernel, NaiveKernel, OpKernel, RcKernel, SharedLuts, StreamingKernel,
+    LcKernel, LtcKernel, NaiveKernel, OpKernel, RcKernel, SharedLuts, StreamingKernel,
 };
 use localut::multiset;
 use localut::packed::{pack_index, unpack_index};
@@ -339,10 +339,17 @@ proptest! {
                 .execute_plan(&plan, method, &w, &a).unwrap();
             prop_assert_eq!(&par.values, &serial.values);
             prop_assert_eq!(&par, &one); // profiles, stats, per-bank: bitwise
-            // par_run: values AND profile bit-identical to the serial run.
-            let host_par = par_run(&cfg, method, &w, &a, threads).unwrap();
+            // `execute` (a `threads`-bank plan) matches the serial values,
+            // and a one-bank plan on `threads` workers matches the serial
+            // run's values AND profile bitwise.
+            let pool = ParallelExecutor::with_config(threads, cfg.clone());
+            let host_par = pool.execute(method, &w, &a).unwrap();
             prop_assert_eq!(&host_par.values, &serial.values);
-            prop_assert_eq!(&host_par.profile, &serial.profile);
+            let whole = pool
+                .execute_plan(&ShardPlan::for_banks(dims, 1), method, &w, &a)
+                .unwrap();
+            prop_assert_eq!(&whole.values, &serial.values);
+            prop_assert_eq!(&whole.profile, &serial.profile);
         }
     }
 

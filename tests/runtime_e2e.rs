@@ -3,11 +3,11 @@
 //! bit-exactness against the serial path, profile/stats invariance under
 //! the worker count, and determinism from a fixed seed.
 
+use localut_repro::dnn;
 use localut_repro::localut::{GemmConfig, GemmDims, Method};
 use localut_repro::pim_sim::Stats;
 use localut_repro::quant::{NumericFormat, QMatrix, Quantizer};
 use localut_repro::runtime::{ParallelExecutor, ShardPlan};
-use localut_repro::{dnn, localut};
 
 /// Deterministic pseudo-random operands from a seed.
 fn qmatrix(rows: usize, cols: usize, format: NumericFormat, seed: u64) -> QMatrix {
@@ -75,18 +75,25 @@ fn same_seed_any_thread_count_is_identical() {
     }
 }
 
-/// The kernel-level `par_run` entry point stays bit-identical to
-/// `GemmConfig::run` in both values and profile, across methods.
+/// `ParallelExecutor::execute` stays bit-identical to `GemmConfig::run`
+/// across methods: values on its worker-count bank plan, values and
+/// profile on a one-bank plan at the same worker count.
 #[test]
-fn par_run_facade_matches_serial() {
+fn execute_facade_matches_serial() {
     let w = qmatrix(10, 18, NumericFormat::Int(2), 5);
     let a = qmatrix(18, 7, NumericFormat::Int(3), 6);
+    let dims = GemmDims::of(&w, &a).unwrap();
     let cfg = GemmConfig::upmem();
+    let pool = ParallelExecutor::with_config(4, cfg.clone());
     for method in Method::ALL {
         let serial = cfg.run(method, &w, &a).unwrap();
-        let par = localut::kernels::par_run(&cfg, method, &w, &a, 4).unwrap();
+        let par = pool.execute(method, &w, &a).unwrap();
         assert_eq!(par.values, serial.values, "{method}");
-        assert_eq!(par.profile, serial.profile, "{method}");
+        let whole = pool
+            .execute_plan(&ShardPlan::for_banks(dims, 1), method, &w, &a)
+            .unwrap();
+        assert_eq!(whole.values, serial.values, "{method}");
+        assert_eq!(whole.profile, serial.profile, "{method}");
     }
 }
 
